@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt bench bench-json bench-gate load-smoke load-smoke-durable sweep-smoke profile report clean
+.PHONY: all build test race vet lint fmt bench bench-json bench-gate load-smoke load-smoke-durable sweep-smoke perfbench-smoke profile report clean
 
 all: build lint test
 
@@ -47,6 +47,7 @@ bench:
 	$(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem
 	$(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore
 	$(GO) test -bench 'BenchmarkWALAppend' -benchtime 1000x -benchmem -run '^$$' ./internal/durable
+	$(GO) test -bench 'BenchmarkCompact' -benchtime 20x -benchmem -run '^$$' ./internal/durable
 	$(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr
 	$(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench
 
@@ -67,6 +68,7 @@ bench-json:
 	  $(GO) test -bench 'BenchmarkCompressedTier' -benchtime 10000x -benchmem -run '^$$' ./internal/tmem && \
 	  $(GO) test -bench 'BenchmarkKVServer' -benchtime 1000x -benchmem -run '^$$' ./internal/kvstore && \
 	  $(GO) test -bench 'BenchmarkWALAppend' -benchtime 1000x -benchmem -run '^$$' ./internal/durable && \
+	  $(GO) test -bench 'BenchmarkCompact' -benchtime 20x -benchmem -run '^$$' ./internal/durable && \
 	  $(GO) test -bench 'BenchmarkHDR' -benchtime 100000x -benchmem -run '^$$' ./internal/hdr && \
 	  $(GO) run ./cmd/smartmem-loadgen -inprocess -rate 2000 -duration 2s -conns 2 -quiet -bench; } > "$$tmp" || { cat "$$tmp"; rm -f "$$tmp"; exit 1; }; \
 	cat "$$tmp"; \
@@ -120,6 +122,16 @@ sweep-smoke:
 	cmp bench-out/sweep-cold.json bench-out/sweep-warm.json
 	@rm -rf bench-out/sweep-memo
 	@echo "sweep-smoke: warm league byte-identical to cold"
+
+# Benchmark smoke: the perfbench module's own tests, then one short
+# kv-durable round of the repository benchmark (journal, group commit and
+# compaction on the serving path). perfbench exits non-zero when a check
+# fails; the grep also fails the target if the verdict line is missing.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	@out=$$(bash perfbench/run.sh --workload kv-durable --seed 1 --seconds 5 --trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q '"correct":true' || { echo 'perfbench-smoke: no "correct":true in the output'; exit 1; }
 
 # Profile a tier-stack-heavy run (kv-heavy hammers the striped store; swap
 # -scenario cluster-2 to profile the cluster runtime). Inspect with:

@@ -304,7 +304,7 @@ func printDurableStats(w io.Writer, node kvNode) {
 // the served JSON always reflects the store and its tiers at that moment —
 // including compressed-tier detail (stored vs raw bytes, dedup hits, codec
 // nanoseconds) when a -compress tier is attached, and WAL/snapshot/recovery
-// counters when -durable is on.
+// counters and timings when -durable is on.
 func publishDebugVars(node kvNode) {
 	b := node.backend
 	expvar.Publish("smartmem", expvar.Func(func() any {
@@ -344,6 +344,7 @@ func publishDebugVars(node kvNode) {
 		doc["tiers"] = tiers
 		if node.dlog != nil {
 			ls := node.dlog.Stats()
+			lt := node.dlog.Timings()
 			ri := node.dlog.Recovery()
 			doc["durable"] = map[string]any{
 				"wal_appends":       ls.Appends,
@@ -363,6 +364,11 @@ func publishDebugVars(node kvNode) {
 				"recovery_records":  ri.WALRecords,
 				"recovery_torn":     ri.TornTail,
 				"recovery_corrupt":  ri.CorruptRecords,
+				"fsync_commit":      lt.CommitSyncs,
+				"fsync_background":  lt.BackgroundSyncs,
+				"compact_ns_total":  int64(lt.CompactTotal),
+				"compact_ns_last":   int64(lt.CompactLast),
+				"open_ns":           int64(lt.Open),
 			}
 		}
 		return doc

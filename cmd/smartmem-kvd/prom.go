@@ -111,19 +111,8 @@ func writeIntervalMetrics(b *strings.Builder, m *kvstore.Metrics, st *intervalSt
 	fmt.Fprintf(b, "# TYPE smartmem_op_interval_latency_seconds summary\n")
 	for _, od := range deltas {
 		for _, pq := range promQuantiles {
-			var v int64
-			switch pq.q {
-			case 0.50:
-				v = od.d.P50
-			case 0.90:
-				v = od.d.P90
-			case 0.99:
-				v = od.d.P99
-			default:
-				v = od.d.P999
-			}
 			fmt.Fprintf(b, "smartmem_op_interval_latency_seconds{op=%q,quantile=%q} %g\n",
-				od.name, pq.label, float64(v)/1e9)
+				od.name, pq.label, float64(snapshotQuantile(od.d, pq.q))/1e9)
 		}
 		fmt.Fprintf(b, "smartmem_op_interval_latency_seconds_sum{op=%q} %g\n",
 			od.name, od.d.Mean*float64(od.d.Count)/1e9)
@@ -141,6 +130,19 @@ var promQuantiles = []struct {
 	{"0.9", 0.90},
 	{"0.99", 0.99},
 	{"0.999", 0.999},
+}
+
+// snapshotQuantile picks one of promQuantiles out of a histogram snapshot.
+func snapshotQuantile(s hdr.Snapshot, q float64) int64 {
+	switch q {
+	case 0.50:
+		return s.P50
+	case 0.90:
+		return s.P90
+	case 0.99:
+		return s.P99
+	}
+	return s.P999
 }
 
 func writeWireMetrics(b *strings.Builder, m *kvstore.Metrics) {
@@ -234,6 +236,24 @@ func writeStoreMetrics(b *strings.Builder, node kvNode) {
 			degraded = 1
 		}
 		scalar(b, "smartmem_durable_degraded", "gauge", "1 when journaling has failed and the store serves memory-only.", degraded)
+
+		lt := node.dlog.Timings()
+		fmt.Fprintf(b, "# HELP smartmem_wal_fsync_seconds Journal fsync latency, by path: commit (a caller waited on it) or background (interval ticker, close).\n")
+		fmt.Fprintf(b, "# TYPE smartmem_wal_fsync_seconds summary\n")
+		for _, p := range []struct {
+			name string
+			s    hdr.Snapshot
+		}{{"commit", lt.CommitSyncs}, {"background", lt.BackgroundSyncs}} {
+			for _, pq := range promQuantiles {
+				fmt.Fprintf(b, "smartmem_wal_fsync_seconds{path=%q,quantile=%q} %g\n",
+					p.name, pq.label, float64(snapshotQuantile(p.s, pq.q))/1e9)
+			}
+			fmt.Fprintf(b, "smartmem_wal_fsync_seconds_sum{path=%q} %g\n", p.name, p.s.Mean*float64(p.s.Count)/1e9)
+			fmt.Fprintf(b, "smartmem_wal_fsync_seconds_count{path=%q} %d\n", p.name, p.s.Count)
+		}
+		scalar(b, "smartmem_wal_compaction_seconds_total", "counter", "Wall time spent in completed compactions.", lt.CompactTotal.Seconds())
+		scalar(b, "smartmem_wal_compaction_last_seconds", "gauge", "Duration of the most recent compaction.", lt.CompactLast.Seconds())
+		scalar(b, "smartmem_durable_open_seconds", "gauge", "Time the journal took to open: snapshot load, WAL replay and repair.", lt.Open.Seconds())
 	}
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"expvar"
 	"io"
 	"net/http/httptest"
 	"strconv"
@@ -8,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"smartmem/internal/durable"
+	"smartmem/internal/hdr"
 	"smartmem/internal/kvstore"
 	"smartmem/internal/mem"
 	"smartmem/internal/tmem"
@@ -183,5 +187,87 @@ func TestPromHandlerIntervalFamilies(t *testing.T) {
 	clock = clock.Add(10 * time.Second)
 	if third := scrape(); strings.Contains(third, "smartmem_op_interval_") {
 		t.Error("idle interval still exposes interval families")
+	}
+}
+
+// TestDurableTimingsExported: with -durable on, /metrics and the expvar
+// document carry the journal's fsync latency split by path, the
+// compaction durations and the Open time next to the WAL counters.
+func TestDurableTimingsExported(t *testing.T) {
+	node, err := openDurable(newBackend(mem.Pages(64), 1), t.TempDir(), durable.FsyncAlways, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.dlog.Close()
+	pool := node.store.NewPool(1, tmem.Persistent)
+	for i := 0; i < 4; i++ {
+		page := make([]byte, pageSize)
+		if st := node.store.Put(tmem.Key{Pool: pool, Object: 1, Index: tmem.PageIndex(i)}, page); st != tmem.STmem {
+			t.Fatalf("put %d: %v", i, st)
+		}
+	}
+	if err := node.dlog.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(promHandler(node, nil))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	body := string(raw)
+	for _, want := range []string{
+		"# TYPE smartmem_wal_fsync_seconds summary",
+		`smartmem_wal_fsync_seconds{path="commit",quantile="0.99"} `,
+		`smartmem_wal_fsync_seconds_count{path="background"} 0`,
+		"# TYPE smartmem_wal_compaction_seconds_total counter",
+		"# TYPE smartmem_wal_compaction_last_seconds gauge",
+		"# TYPE smartmem_durable_open_seconds gauge",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// NewPool plus four puts, each group-committed on its own.
+	if n := promSample(t, body, `smartmem_wal_fsync_seconds_count{path="commit"} `); n < 5 {
+		t.Errorf("commit fsyncs = %g, want >= 5", n)
+	}
+	for _, name := range []string{"smartmem_wal_compaction_seconds_total ", "smartmem_wal_compaction_last_seconds ", "smartmem_durable_open_seconds "} {
+		if v := promSample(t, body, name); v <= 0 {
+			t.Errorf("%s= %g, want > 0", name, v)
+		}
+	}
+
+	publishDebugVars(node)
+	esrv := httptest.NewServer(expvar.Handler())
+	defer esrv.Close()
+	resp, err = esrv.Client().Get(esrv.URL)
+	if err != nil {
+		t.Fatalf("expvar: %v", err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Smartmem struct {
+			Durable struct {
+				FsyncCommit     hdr.Snapshot `json:"fsync_commit"`
+				FsyncBackground hdr.Snapshot `json:"fsync_background"`
+				CompactTotal    int64        `json:"compact_ns_total"`
+				CompactLast     int64        `json:"compact_ns_last"`
+				Open            int64        `json:"open_ns"`
+			} `json:"durable"`
+		} `json:"smartmem"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatalf("decode expvar: %v", err)
+	}
+	d := doc.Smartmem.Durable
+	if d.FsyncCommit.Count < 5 || d.FsyncBackground.Count != 0 || d.CompactTotal <= 0 || d.CompactLast <= 0 || d.Open <= 0 {
+		t.Errorf("expvar durable timings %+v", d)
 	}
 }

@@ -19,8 +19,10 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,7 +39,9 @@ import (
 // Implementations must be safe for concurrent use. Put must be atomic:
 // a reader never observes a half-written blob.
 type BlobStore interface {
-	// Put atomically creates or replaces a whole blob.
+	// Put atomically creates or replaces a whole blob. It must not retain
+	// data after it returns: the snapshot writer reuses one buffer for
+	// every slab it puts.
 	Put(key string, data []byte) error
 	// Get returns a blob's full contents. Absent blobs report an error
 	// satisfying errors.Is(err, os.ErrNotExist).
@@ -133,9 +137,22 @@ func (d *DirStore) Get(key string) ([]byte, error) {
 	return os.ReadFile(p)
 }
 
+// List walks only the directory that holds the prefix's keys (the part
+// up to its last "/"), not the whole root.
 func (d *DirStore) List(prefix string) ([]string, error) {
+	dir := d.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		p, err := d.path(prefix[:i])
+		if err != nil {
+			return nil, err
+		}
+		dir = p
+	}
 	var out []string
-	err := filepath.WalkDir(d.root, func(p string, e os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(p string, e os.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) && p == dir {
+			return fs.SkipAll // no key has this prefix yet
+		}
 		if err != nil || e.IsDir() {
 			return err
 		}

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,6 +186,46 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	checkPages(t, l2, want)
 	if st := l2.Stats(); st.Errors != 0 {
 		t.Fatalf("errors after round trip: %+v", st)
+	}
+}
+
+// TestDirStoreListPrefix: List walks only the prefix's directory yet keeps
+// the contract — every key with the prefix, sorted, no in-flight temp
+// files — for directory prefixes, partial names, nested directories,
+// prefixes with no directory yet and the empty prefix.
+func TestDirStoreListPrefix(t *testing.T) {
+	dir := t.TempDir()
+	blob, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"CLEAN", "wal/0000000000000002.log", "wal/0000000000000001.log",
+		"snapshot/0000000000000003/MANIFEST", "snapshot/0000000000000003/0000.slab",
+		"snapshot/0000000000000001/0000.slab", "walrus/x", "memo/ab/cd"}
+	for _, k := range keys {
+		if err := blob.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", ".tmp-123"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"", "wal/", "wal", "snapshot/", "snapshot/0000000000000003/",
+		"snapshot/000000000000000", "memo/", "memo/ab/c", "absent/", "absent/deeper/x"} {
+		got, err := blob.List(prefix)
+		if err != nil {
+			t.Fatalf("List(%q): %v", prefix, err)
+		}
+		var want []string
+		for _, k := range keys {
+			if strings.HasPrefix(k, prefix) {
+				want = append(want, k)
+			}
+		}
+		sort.Strings(want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("List(%q) = %v, want %v", prefix, got, want)
+		}
 	}
 }
 
@@ -683,6 +726,40 @@ func TestStoreWriteThroughCrashRecover(t *testing.T) {
 		t.Fatalf("restored pool id reissued: new pool %d vs restored %d", np, pool)
 	}
 	l2.Close()
+}
+
+// TestStorePutBatchAllocs: a batch the backend fully accepts into a
+// journaled pool is journaled as passed in. The only allocations left are
+// the mirror's page copies, one per page, which the log makes whoever
+// calls it.
+func TestStorePutBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats the backend's sync.Pool reuse")
+	}
+	opts := testOpts(discardStore{NewMemStore()})
+	l := mustOpen(t, opts)
+	defer l.Close()
+	s := NewStore(tmem.NewBackend(1024, tmem.NewDataStore(testPageSize)), l)
+	pool := s.NewPool(1, tmem.Persistent)
+	const batch = 16
+	keys := make([]tmem.Key, batch)
+	datas := make([][]byte, batch)
+	sts := make([]tmem.Status, batch)
+	for i := range keys {
+		keys[i] = key(pool, 0, tmem.PageIndex(i))
+		datas[i] = page(byte(i))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.PutBatch(keys, datas, sts)
+		for i, st := range sts {
+			if st != tmem.STmem {
+				t.Fatalf("put %d: %v", i, st)
+			}
+		}
+	})
+	if allocs > batch {
+		t.Fatalf("Store.PutBatch: %.0f allocs per %d-page batch, want <= %d (the mirror copies)", allocs, batch, batch)
+	}
 }
 
 func TestStoreRecoverIntoSmallerBackend(t *testing.T) {

@@ -1,12 +1,14 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
+	"smartmem/internal/hdr"
 	"smartmem/internal/tmem"
 )
 
@@ -21,7 +23,7 @@ const (
 	// FsyncAlways group-commits every mutation: the call returns only
 	// after its record is fsynced. Concurrent writers share one fsync.
 	FsyncAlways
-	// FsyncOff never syncs (beyond segment seals and close). The
+	// FsyncOff syncs only on Close or an explicit Sync. The
 	// deterministic simulator mode: no timers, no fsync counters.
 	FsyncOff
 )
@@ -103,7 +105,7 @@ func (o Options) withDefaults() (Options, error) {
 type Stats struct {
 	Appends       uint64 // WAL records appended
 	AppendedBytes uint64 // WAL bytes appended
-	Fsyncs        uint64 // fsyncs issued (group commit: <= Appends)
+	Fsyncs        uint64 // fsyncs issued by sync passes (group commit)
 	Segments      uint64 // WAL segments opened over the log's lifetime
 	Compactions   uint64 // snapshots taken
 	SnapshotPages uint64 // pages in the latest snapshot
@@ -125,6 +127,25 @@ func (s *Stats) Add(o Stats) {
 	s.PagesLive += o.PagesLive
 	s.BytesLive += o.BytesLive
 	s.Errors += o.Errors
+}
+
+// Timings are a Log's wall-clock measurements: fsync latency and the time
+// spent compacting and opening. They are kept apart from Stats, which
+// holds only counts a deterministic run reproduces exactly. Durations in
+// the histogram snapshots are nanoseconds.
+type Timings struct {
+	// CommitSyncs are the fsyncs a caller waited on: the group commits of
+	// FsyncAlways and explicit Sync calls. BackgroundSyncs are those of
+	// the FsyncInterval ticker and of Close.
+	CommitSyncs     hdr.Snapshot
+	BackgroundSyncs hdr.Snapshot
+	// Compactions is the number of completed compactions; CompactTotal and
+	// CompactLast are their summed and most recent durations.
+	Compactions  uint64
+	CompactTotal time.Duration
+	CompactLast  time.Duration
+	// Open is how long Open took: snapshot load, WAL replay and repair.
+	Open time.Duration
 }
 
 // RecoveryInfo describes what Open found and replayed.
@@ -191,16 +212,21 @@ type Log struct {
 	walSinceSnap int64
 	closed       bool
 
-	compactMu     sync.Mutex // serializes compactions
-	compactions   uint64     // under mu
-	snapshotSeq   uint64     // under mu
-	snapshotPages uint64     // under mu
-	errors        uint64     // under mu
+	compactMu     sync.Mutex    // serializes compactions
+	compactions   uint64        // under mu
+	compactTotal  time.Duration // under mu
+	compactLast   time.Duration // under mu
+	snapshotSeq   uint64        // under mu
+	snapshotPages uint64        // under mu
+	errors        uint64        // under mu
 
 	recovery RecoveryInfo
+	openDur  time.Duration
+
+	// fsync latencies; hdr histograms record without locks.
+	commitSyncs, backgroundSyncs hdr.Histogram
 
 	scratch []byte // framed-record build buffer, under mu
-	payload []byte // payload build buffer (must not alias scratch), under mu
 
 	stop      chan struct{}
 	compactCh chan struct{}
@@ -213,6 +239,7 @@ type Log struct {
 // CLEAN marker from a graceful shutdown skips the WAL scan; the marker is
 // consumed either way, so the next boot after a crash replays properly.
 func Open(opts Options) (*Log, error) {
+	start := time.Now()
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -288,6 +315,7 @@ func Open(opts Options) (*Log, error) {
 		l.bg.Add(1)
 		go l.compactLoop()
 	}
+	l.openDur = time.Since(start)
 	return l, nil
 }
 
@@ -463,18 +491,16 @@ func (l *Log) dropPoolLocked(pool tmem.PoolID) bool {
 
 // --- journaled mutations ---
 
-// journal frames payload (already built into l.scratch by the caller,
-// under mu), appends it and returns the record number. Caller holds mu.
-func (l *Log) journalLocked(payload []byte) (uint64, error) {
-	l.payload = payload // keep the grown buffer for the next call
-	l.scratch = frameRecord(l.scratch[:0], payload)
-	n := len(l.scratch)
-	rec, err := l.w.append(l.scratch, 1)
+// journalLocked appends nrecs framed records, built by the caller into
+// l.scratch[:0], and returns the last record's number. Caller holds mu.
+func (l *Log) journalLocked(framed []byte, nrecs uint64) (uint64, error) {
+	l.scratch = framed // keep the grown buffer for the next call
+	rec, err := l.w.append(framed, nrecs)
 	if err != nil {
 		l.errors++
 		return 0, err
 	}
-	l.walSinceSnap += int64(n)
+	l.walSinceSnap += int64(len(framed))
 	return rec, nil
 }
 
@@ -483,7 +509,7 @@ func (l *Log) journalLocked(payload []byte) (uint64, error) {
 // released.
 func (l *Log) commit(rec uint64, compact bool) error {
 	if l.opts.Fsync == FsyncAlways {
-		if err := l.w.syncTo(rec); err != nil {
+		if err := l.w.syncTo(rec, &l.commitSyncs); err != nil {
 			l.noteError()
 			return err
 		}
@@ -532,8 +558,7 @@ func (l *Log) NewPool(id tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) error {
 		l.mu.Unlock()
 		return fmt.Errorf("durable: pool %d already journaled", id)
 	}
-	payload := newPoolPayload(l.payloadScratch(), id, vm, kind)
-	rec, err := l.journalLocked(payload)
+	rec, err := l.journalLocked(newPoolRecord(l.scratch[:0], id, vm, kind), 1)
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -543,12 +568,6 @@ func (l *Log) NewPool(id tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) error {
 	l.mu.Unlock()
 	return l.commit(rec, compact)
 }
-
-// payloadScratch returns the payload build buffer; journalLocked frames
-// into the separate l.scratch buffer, so the two must not alias. The
-// caller holds mu and must store the built payload back via the slice it
-// returns (append may grow it).
-func (l *Log) payloadScratch() []byte { return l.payload[:0] }
 
 // HasPool reports whether the pool is journaled (i.e. persistent).
 func (l *Log) HasPool(id tmem.PoolID) bool {
@@ -570,8 +589,7 @@ func (l *Log) DropPool(id tmem.PoolID) error {
 		l.mu.Unlock()
 		return nil
 	}
-	payload := dropPoolPayload(l.payloadScratch(), id)
-	rec, err := l.journalLocked(payload)
+	rec, err := l.journalLocked(dropPoolRecord(l.scratch[:0], id), 1)
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -597,8 +615,7 @@ func (l *Log) Put(key tmem.Key, data []byte) error {
 		l.mu.Unlock()
 		return fmt.Errorf("durable: put into unjournaled pool %d", key.Pool)
 	}
-	payload := putPayload(l.payloadScratch(), key, data)
-	rec, err := l.journalLocked(payload)
+	rec, err := l.journalLocked(putRecord(l.scratch[:0], key, data), 1)
 	if err != nil {
 		l.mu.Unlock()
 		return err
@@ -633,17 +650,13 @@ func (l *Log) PutBatch(keys []tmem.Key, datas [][]byte) error {
 	}
 	framed := l.scratch[:0]
 	for i, key := range keys {
-		l.payload = putPayload(l.payload[:0], key, datas[i])
-		framed = frameRecord(framed, l.payload)
+		framed = putRecord(framed, key, datas[i])
 	}
-	l.scratch = framed
-	rec, err := l.w.append(framed, uint64(len(keys)))
+	rec, err := l.journalLocked(framed, uint64(len(keys)))
 	if err != nil {
-		l.errors++
 		l.mu.Unlock()
 		return err
 	}
-	l.walSinceSnap += int64(len(framed))
 	for i, key := range keys {
 		l.storePage(key, datas[i])
 	}
@@ -665,8 +678,7 @@ func (l *Log) FlushPage(key tmem.Key) (removed bool, err error) {
 		l.mu.Unlock()
 		return false, nil
 	}
-	payload := flushPagePayload(l.payloadScratch(), key)
-	rec, err := l.journalLocked(payload)
+	rec, err := l.journalLocked(flushPageRecord(l.scratch[:0], key), 1)
 	if err != nil {
 		l.mu.Unlock()
 		return false, err
@@ -690,8 +702,7 @@ func (l *Log) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (int, error) {
 		l.mu.Unlock()
 		return 0, nil
 	}
-	payload := flushObjectPayload(l.payloadScratch(), pool, object)
-	rec, err := l.journalLocked(payload)
+	rec, err := l.journalLocked(flushObjectRecord(l.scratch[:0], pool, object), 1)
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -727,12 +738,7 @@ func (l *Log) Contains(key tmem.Key) bool { return l.Get(key, nil) }
 func (l *Log) Pools() []PoolInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]PoolInfo, 0, len(l.pools))
-	for id, pm := range l.pools {
-		out = append(out, PoolInfo{ID: id, VM: pm.vm, Kind: pm.kind})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return l.poolsLocked()
 }
 
 // RangePages calls f for every live page in sorted key order (pool,
@@ -740,43 +746,55 @@ func (l *Log) Pools() []PoolInfo {
 // shared with the mirror and must not be mutated.
 func (l *Log) RangePages(f func(key tmem.Key, data []byte) bool) {
 	l.mu.Lock()
-	keys := make([]objKey, 0, len(l.objects))
-	for ok := range l.objects {
-		keys = append(keys, ok)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pool != b.pool {
-			return a.pool < b.pool
-		}
-		return a.object < b.object
-	})
-	type pageRef struct {
-		key  tmem.Key
-		data []byte
-	}
-	var pages []pageRef
-	for _, ok := range keys {
-		m := l.objects[ok]
-		idxs := make([]tmem.PageIndex, 0, len(m))
-		for idx := range m {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pages = append(pages, pageRef{
-				key:  tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx},
-				data: m[idx],
-			})
-		}
-	}
+	pages := l.pagesLocked()
 	l.mu.Unlock()
-	// Mirror slices are immutable, so f runs outside the lock.
+	// Mirror slices are immutable, so sorting and f run outside the lock.
+	sortPages(pages)
 	for _, p := range pages {
 		if !f(p.key, p.data) {
 			return
 		}
 	}
+}
+
+// pageRef is one live page; data is shared with the mirror.
+type pageRef struct {
+	key  tmem.Key
+	data []byte
+}
+
+// poolsLocked lists the journaled pools, sorted by id. Caller holds mu.
+func (l *Log) poolsLocked() []PoolInfo {
+	out := make([]PoolInfo, 0, len(l.pools))
+	for id, pm := range l.pools {
+		out = append(out, PoolInfo{ID: id, VM: pm.vm, Kind: pm.kind})
+	}
+	slices.SortFunc(out, func(a, b PoolInfo) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// pagesLocked lists every live page, unsorted, sharing the mirror's
+// immutable page slices. Caller holds mu.
+func (l *Log) pagesLocked() []pageRef {
+	out := make([]pageRef, 0, l.pagesLive)
+	for ok, m := range l.objects {
+		for idx, d := range m {
+			out = append(out, pageRef{key: tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}, data: d})
+		}
+	}
+	return out
+}
+
+func sortPages(pages []pageRef) {
+	slices.SortFunc(pages, func(a, b pageRef) int {
+		if c := cmp.Compare(a.key.Pool, b.key.Pool); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.key.Object, b.key.Object); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.Index, b.key.Index)
+	})
 }
 
 // PagesLive returns the live-page gauge.
@@ -806,12 +824,26 @@ func (l *Log) Stats() Stats {
 	}
 }
 
+// Timings returns the log's wall-clock measurements.
+func (l *Log) Timings() Timings {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Timings{
+		CommitSyncs:     l.commitSyncs.Snapshot(),
+		BackgroundSyncs: l.backgroundSyncs.Snapshot(),
+		Compactions:     l.compactions,
+		CompactTotal:    l.compactTotal,
+		CompactLast:     l.compactLast,
+		Open:            l.openDur,
+	}
+}
+
 // Recovery returns what Open found and replayed.
 func (l *Log) Recovery() RecoveryInfo { return l.recovery }
 
 // Sync forces everything journaled so far to stable storage.
 func (l *Log) Sync() error {
-	if err := l.w.sync(); err != nil {
+	if err := l.w.sync(&l.commitSyncs); err != nil {
 		l.noteError()
 		return err
 	}
@@ -826,6 +858,7 @@ func (l *Log) Sync() error {
 func (l *Log) Compact() error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
+	start := time.Now()
 
 	l.mu.Lock()
 	if l.closed {
@@ -839,26 +872,12 @@ func (l *Log) Compact() error {
 		return err
 	}
 	// Structure-only copy: page slices are immutable and shared.
-	st := snapshotState{
-		pools:   make(map[tmem.PoolID]poolMeta, len(l.pools)),
-		objects: make(map[objKey]map[tmem.PageIndex][]byte, len(l.objects)),
-		pages:   l.pagesLive,
-		bytes:   l.bytesLive,
-	}
-	for id, pm := range l.pools {
-		st.pools[id] = pm
-	}
-	for ok, pages := range l.objects {
-		cp := make(map[tmem.PageIndex][]byte, len(pages))
-		for idx, d := range pages {
-			cp[idx] = d
-		}
-		st.objects[ok] = cp
-	}
+	st := snapshotState{pools: l.poolsLocked(), pages: l.pagesLocked(), bytes: l.bytesLive}
 	cut := l.walSinceSnap
 	l.mu.Unlock()
 
-	if err := writeSnapshot(l.opts.Blob, resume, st, l.opts.SlabBytes); err != nil {
+	sortPages(st.pages)
+	if err := writeSnapshot(l.opts.Blob, resume, st, l.opts.SlabBytes, l.opts.PageSize); err != nil {
 		l.noteError()
 		return err
 	}
@@ -866,11 +885,14 @@ func (l *Log) Compact() error {
 	dropSegmentsBefore(l.opts.Blob, resume)
 	dropSnapshotsBefore(l.opts.Blob, resume)
 
+	took := time.Since(start)
 	l.mu.Lock()
 	l.walSinceSnap -= cut
 	l.compactions++
+	l.compactTotal += took
+	l.compactLast = took
 	l.snapshotSeq = resume
-	l.snapshotPages = st.pages
+	l.snapshotPages = uint64(len(st.pages))
 	l.mu.Unlock()
 	return nil
 }
@@ -886,7 +908,7 @@ func (l *Log) fsyncLoop() {
 		case <-l.stop:
 			return
 		case <-t.C:
-			l.w.sync() // errors surface through Stats on the next explicit op
+			l.w.sync(&l.backgroundSyncs) // errors surface through Stats on the next explicit op
 		}
 	}
 }
@@ -919,7 +941,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	return l.w.close()
+	return l.w.close(&l.backgroundSyncs)
 }
 
 // CloseClean performs a graceful shutdown: a final compaction folds the
@@ -936,7 +958,7 @@ func (l *Log) CloseClean() error {
 	l.closed = true
 	snap := l.snapshotSeq
 	l.mu.Unlock()
-	werr := l.w.close()
+	werr := l.w.close(&l.backgroundSyncs)
 	if cerr == nil && werr == nil {
 		cerr = writeCleanMarker(l.opts.Blob, snap)
 	}

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-
-	"smartmem/internal/tmem"
 )
 
 // Snapshot layout. A compaction folds the live mirror into slab blobs
@@ -103,87 +100,54 @@ func latestManifest(blob BlobStore) (seq uint64, mf manifest, ok bool, err error
 	return best, mf, true, nil
 }
 
-// snapshotState is the serializable mirror image a compaction captures.
+// snapshotState is the mirror image a compaction captures, sorted (pools
+// by id, pages by pool/object/index) so identical states produce
+// identical snapshots.
 type snapshotState struct {
-	pools   map[tmem.PoolID]poolMeta
-	objects map[objKey]map[tmem.PageIndex][]byte
-	pages   uint64
-	bytes   uint64
+	pools []PoolInfo
+	pages []pageRef
+	bytes uint64
 }
 
-// buildSlabs serializes the state into slab byte blobs of roughly
-// slabBytes each. Records are emitted in sorted order (pools by id, pages
-// by pool/object/index) so identical states produce identical snapshots.
-func buildSlabs(st snapshotState, slabBytes int64) [][]byte {
-	poolIDs := make([]tmem.PoolID, 0, len(st.pools))
-	for id := range st.pools {
-		poolIDs = append(poolIDs, id)
-	}
-	sort.Slice(poolIDs, func(i, j int) bool { return poolIDs[i] < poolIDs[j] })
-
-	objKeys := make([]objKey, 0, len(st.objects))
-	for k := range st.objects {
-		objKeys = append(objKeys, k)
-	}
-	sort.Slice(objKeys, func(i, j int) bool {
-		a, b := objKeys[i], objKeys[j]
-		if a.pool != b.pool {
-			return a.pool < b.pool
+// writeSnapshot streams the state into slab blobs through one reused
+// buffer and finally writes the manifest. Records are encoded straight
+// into the buffer, and a slab is Put as soon as it holds slabBytes, so a
+// compaction holds at most one slab of encoded snapshot. The buffer is
+// sized so that it never grows: below slabBytes it takes one more record,
+// and no record is larger than a full-page put. A failed Put returns
+// before the manifest is written, leaving the snapshot incomplete.
+func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64, pageSize int) error {
+	buf := make([]byte, 0, slabBytes+int64(maxPutRecord(pageSize)))
+	slabs := 0
+	flush := func(min int64) error {
+		if int64(len(buf)) < min || len(buf) == 0 {
+			return nil
 		}
-		return a.object < b.object
-	})
-
-	var slabs [][]byte
-	var buf []byte
-	var scratch []byte
-	flush := func() {
-		if len(buf) > 0 {
-			slabs = append(slabs, buf)
-			buf = nil
-		}
+		err := blob.Put(slabKey(seq, slabs), buf)
+		slabs++
+		buf = buf[:0]
+		return err
 	}
-	emit := func(payload []byte) {
-		buf = frameRecord(buf, payload)
-		if int64(len(buf)) >= slabBytes {
-			flush()
-		}
-	}
-
-	for _, id := range poolIDs {
-		pm := st.pools[id]
-		scratch = newPoolPayload(scratch[:0], id, pm.vm, pm.kind)
-		emit(scratch)
-	}
-	for _, ok := range objKeys {
-		pages := st.objects[ok]
-		idxs := make([]tmem.PageIndex, 0, len(pages))
-		for idx := range pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			key := tmem.Key{Pool: ok.pool, Object: ok.object, Index: idx}
-			scratch = putPayload(scratch[:0], key, pages[idx])
-			emit(scratch)
-		}
-	}
-	flush()
-	return slabs
-}
-
-// writeSnapshot streams the slabs and finally the manifest.
-func writeSnapshot(blob BlobStore, seq uint64, st snapshotState, slabBytes int64) error {
-	slabs := buildSlabs(st, slabBytes)
-	for i, slab := range slabs {
-		if err := blob.Put(slabKey(seq, i), slab); err != nil {
+	for _, p := range st.pools {
+		buf = newPoolRecord(buf, p.ID, p.VM, p.Kind)
+		if err := flush(slabBytes); err != nil {
 			return err
 		}
 	}
+	for _, p := range st.pages {
+		buf = putRecord(buf, p.key, p.data)
+		if err := flush(slabBytes); err != nil {
+			return err
+		}
+	}
+	if err := flush(0); err != nil {
+		return err
+	}
 	mf := manifest{
 		WALResume: seq,
-		Slabs:     len(slabs),
+		Slabs:     slabs,
 		Pools:     len(st.pools),
-		Pages:     st.pages,
+		Pages:     uint64(len(st.pages)),
 		Bytes:     st.bytes,
 	}
 	raw, err := json.Marshal(mf)

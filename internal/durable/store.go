@@ -176,26 +176,35 @@ func (s *Store) FlushObject(pool tmem.PoolID, object tmem.ObjectID) (mem.Pages, 
 
 func (s *Store) PutBatch(keys []tmem.Key, datas [][]byte, sts []tmem.Status) {
 	s.b.PutBatch(keys, datas, sts)
-	// Journal the successful persistent subset in one append.
-	var jKeys []tmem.Key
-	var jDatas [][]byte
-	var jIdx []int
-	for i, key := range keys {
-		if sts[i] != tmem.STmem || !s.log.HasPool(key.Pool) {
-			continue
+	// Journal the successful persistent subset in one append. In the
+	// common case that is the whole batch, journaled as passed in.
+	journaled := func(i int) bool { return sts[i] == tmem.STmem && s.log.HasPool(keys[i].Pool) }
+	n := 0
+	for i := range keys {
+		if journaled(i) {
+			n++
 		}
-		jKeys = append(jKeys, key)
-		jDatas = append(jDatas, datas[i])
-		jIdx = append(jIdx, i)
 	}
-	if len(jKeys) == 0 {
+	if n == 0 {
 		return
+	}
+	jKeys, jDatas := keys, datas
+	if n < len(keys) {
+		jKeys, jDatas = make([]tmem.Key, 0, n), make([][]byte, 0, n)
+		for i, key := range keys {
+			if journaled(i) {
+				jKeys = append(jKeys, key)
+				jDatas = append(jDatas, datas[i])
+			}
+		}
 	}
 	if s.degraded.Load() || s.log.PutBatch(jKeys, jDatas) != nil {
 		s.degrade()
-		for n, i := range jIdx {
-			s.b.FlushPage(jKeys[n])
-			sts[i] = tmem.ETmem
+		for i, key := range keys {
+			if journaled(i) {
+				s.b.FlushPage(key)
+				sts[i] = tmem.ETmem
+			}
 		}
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
+	"smartmem/internal/hdr"
 	"smartmem/internal/tmem"
 )
 
@@ -49,17 +52,28 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 var (
+	errWriterClosed = errors.New("durable: wal writer closed")
 	// errTruncated: the buffer ends mid-record (torn tail candidate).
 	errTruncated = errors.New("durable: truncated record")
 	// errCorrupt: the record is structurally invalid or fails its checksum.
 	errCorrupt = errors.New("durable: corrupt record")
 )
 
-// frameRecord appends [len][crc][payload] to dst.
-func frameRecord(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// beginRecord reserves a record's [len][crc] header at the end of dst and
+// appends its op byte. The caller appends the rest of the payload straight
+// after it and seals the record with endRecord, so a page is copied into
+// the record buffer once and checksummed once.
+func beginRecord(dst []byte, op byte) (buf []byte, start int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0, op), len(dst)
+}
+
+// endRecord fills in the header of the record that begins at buf[start]
+// and runs to the end of buf.
+func endRecord(buf []byte, start int) []byte {
+	payload := buf[start+recHeaderLen:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
 func appendKey(dst []byte, key tmem.Key) []byte { return key.AppendWire(dst) }
@@ -149,36 +163,39 @@ func readRecord(buf []byte, off int) (record, int, error) {
 	return r, next, nil
 }
 
-// --- record builders (payload only; caller frames) ---
+// --- record builders: each appends one framed record to dst ---
 
-func putPayload(dst []byte, key tmem.Key, data []byte) []byte {
-	dst = append(dst, opPut)
+// maxPutRecord is the framed size of a put record carrying a full page.
+func maxPutRecord(pageSize int) int { return recHeaderLen + 1 + keyWireLen + 4 + pageSize }
+
+func putRecord(dst []byte, key tmem.Key, data []byte) []byte {
+	dst, start := beginRecord(dst, opPut)
 	dst = appendKey(dst, key)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(data)))
-	return append(dst, data...)
+	return endRecord(append(dst, data...), start)
 }
 
-func flushPagePayload(dst []byte, key tmem.Key) []byte {
-	dst = append(dst, opFlushPage)
-	return appendKey(dst, key)
+func flushPageRecord(dst []byte, key tmem.Key) []byte {
+	dst, start := beginRecord(dst, opFlushPage)
+	return endRecord(appendKey(dst, key), start)
 }
 
-func flushObjectPayload(dst []byte, pool tmem.PoolID, object tmem.ObjectID) []byte {
-	dst = append(dst, opFlushObject)
+func flushObjectRecord(dst []byte, pool tmem.PoolID, object tmem.ObjectID) []byte {
+	dst, start := beginRecord(dst, opFlushObject)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(pool))
-	return binary.BigEndian.AppendUint64(dst, uint64(object))
+	return endRecord(binary.BigEndian.AppendUint64(dst, uint64(object)), start)
 }
 
-func newPoolPayload(dst []byte, pool tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) []byte {
-	dst = append(dst, opNewPool)
+func newPoolRecord(dst []byte, pool tmem.PoolID, vm tmem.VMID, kind tmem.PoolKind) []byte {
+	dst, start := beginRecord(dst, opNewPool)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(pool))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(vm))
-	return append(dst, byte(kind))
+	return endRecord(append(dst, byte(kind)), start)
 }
 
-func dropPoolPayload(dst []byte, pool tmem.PoolID) []byte {
-	dst = append(dst, opDropPool)
-	return binary.BigEndian.AppendUint32(dst, uint32(pool))
+func dropPoolRecord(dst []byte, pool tmem.PoolID) []byte {
+	dst, start := beginRecord(dst, opDropPool)
+	return endRecord(binary.BigEndian.AppendUint32(dst, uint32(pool)), start)
 }
 
 // --- segment naming ---
@@ -222,36 +239,45 @@ func listSegments(blob BlobStore) ([]uint64, error) {
 // --- writer ---
 
 // walWriter appends framed records to the active segment, rotating at the
-// configured size. Appends serialize under mu; fsync runs outside it with
-// leader-based group commit: the first caller to need durability syncs
-// once for every record appended so far, and concurrent committers piggy-
-// back on that one fsync instead of issuing their own.
+// configured size. Appends serialize under mu and never fsync: fsync runs
+// outside mu with leader-based group commit. The first caller to need
+// durability becomes the leader and syncs once for every record appended
+// so far; concurrent committers piggy-back on that pass instead of issuing
+// their own.
+//
+// A rotation under the always/interval policies parks the sealed segment's
+// appender on the sealed list instead of syncing it. Every sync pass
+// (leader, interval ticker, close) first syncs and closes the parked
+// segments oldest first, then syncs the active one, so a pass covers every
+// record appended before it began.
 type walWriter struct {
 	blob     BlobStore
 	segBytes int64
-	// syncOnRotate syncs a segment before sealing it, so sealed segments
-	// are always machine-crash durable under the always/interval policies.
-	syncOnRotate bool
+	// parkSealed keeps sealed segments open until a sync pass covers them.
+	// Without it (FsyncOff, where nothing syncs) rotation closes them.
+	parkSealed bool
 
 	mu       sync.Mutex
 	app      Appender
-	seq      uint64 // active segment sequence number
-	size     int64  // bytes appended to the active segment
-	nextRec  uint64 // records appended over the writer's lifetime
-	segments uint64 // segments ever opened
-	bytes    uint64 // total bytes appended
+	sealed   []Appender // sealed, not yet synced segments, oldest first
+	failed   error      // sticky: a sealed segment failed to sync or close
+	seq      uint64     // active segment sequence number
+	size     int64      // bytes appended to the active segment
+	nextRec  uint64     // records appended over the writer's lifetime
+	segments uint64     // segments ever opened
+	bytes    uint64     // total bytes appended
 
 	// group-commit state
 	syncMu    sync.Mutex
 	syncCond  *sync.Cond
 	syncedRec uint64 // highest record number known durable
-	syncBusy  bool   // a leader fsync is in flight
+	syncBusy  bool   // a sync pass is in flight
 	fsyncs    uint64
 }
 
 // newWALWriter opens a writer on a fresh segment with the given sequence.
-func newWALWriter(blob BlobStore, startSeq uint64, segBytes int64, syncOnRotate bool) (*walWriter, error) {
-	w := &walWriter{blob: blob, segBytes: segBytes, syncOnRotate: syncOnRotate, seq: startSeq}
+func newWALWriter(blob BlobStore, startSeq uint64, segBytes int64, parkSealed bool) (*walWriter, error) {
+	w := &walWriter{blob: blob, segBytes: segBytes, parkSealed: parkSealed, seq: startSeq}
 	w.syncCond = sync.NewCond(&w.syncMu)
 	app, err := blob.Append(segKey(startSeq))
 	if err != nil {
@@ -268,8 +294,11 @@ func newWALWriter(blob BlobStore, startSeq uint64, segBytes int64, syncOnRotate 
 func (w *walWriter) append(framed []byte, nrecs uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
 	if w.app == nil {
-		return 0, errors.New("durable: wal writer closed")
+		return 0, errWriterClosed
 	}
 	if w.size > 0 && w.size+int64(len(framed)) > w.segBytes {
 		if err := w.rotateLocked(w.seq + 1); err != nil {
@@ -288,14 +317,9 @@ func (w *walWriter) append(framed []byte, nrecs uint64) (uint64, error) {
 // rotateLocked seals the active segment and opens seq as the new one.
 func (w *walWriter) rotateLocked(seq uint64) error {
 	if w.app != nil {
-		if w.syncOnRotate {
-			if err := w.app.Sync(); err != nil {
-				w.app.Close()
-				w.app = nil
-				return err
-			}
-		}
-		if err := w.app.Close(); err != nil {
+		if w.parkSealed {
+			w.sealed = append(w.sealed, w.app)
+		} else if err := w.app.Close(); err != nil {
 			w.app = nil
 			return err
 		}
@@ -318,8 +342,11 @@ func (w *walWriter) rotateLocked(seq uint64) error {
 func (w *walWriter) forceRotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
 	if w.app == nil {
-		return 0, errors.New("durable: wal writer closed")
+		return 0, errWriterClosed
 	}
 	if err := w.rotateLocked(w.seq + 1); err != nil {
 		return 0, err
@@ -327,75 +354,120 @@ func (w *walWriter) forceRotate() (uint64, error) {
 	return w.seq, nil
 }
 
-// syncTo blocks until record rec is durable, fsyncing at most once per
-// waiting cohort (leader-based group commit).
-func (w *walWriter) syncTo(rec uint64) error {
-	for {
-		w.syncMu.Lock()
-		for w.syncedRec < rec && w.syncBusy {
-			w.syncCond.Wait()
-		}
-		if w.syncedRec >= rec {
-			w.syncMu.Unlock()
-			return nil
-		}
-		w.syncBusy = true
-		w.syncMu.Unlock()
+// lead waits until record rec is durable or no sync pass is in flight.
+// In the second case it claims the next pass and returns true; the caller
+// runs it and ends it with unlead.
+func (w *walWriter) lead(rec uint64) bool {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	for w.syncBusy && w.syncedRec < rec {
+		w.syncCond.Wait()
+	}
+	if w.syncedRec >= rec {
+		return false
+	}
+	w.syncBusy = true
+	return true
+}
 
-		// Snapshot the appender and high-water mark outside syncMu: the
-		// fsync covers every record appended before this instant.
-		w.mu.Lock()
-		app, top := w.app, w.nextRec
-		w.mu.Unlock()
-		var err error
-		if app != nil {
-			err = app.Sync()
-		}
+// unlead ends a sync pass of n fsyncs; when it succeeded, every record up
+// to top is durable.
+func (w *walWriter) unlead(top, n uint64, err error) {
+	w.syncMu.Lock()
+	w.fsyncs += n
+	if err == nil && top > w.syncedRec {
+		w.syncedRec = top
+	}
+	w.syncBusy = false
+	w.syncCond.Broadcast()
+	w.syncMu.Unlock()
+}
 
-		w.syncMu.Lock()
-		w.fsyncs++
-		if err == nil && top > w.syncedRec {
-			w.syncedRec = top
-		}
-		w.syncBusy = false
-		w.syncCond.Broadcast()
-		w.syncMu.Unlock()
+// pass is one sync pass, run by the leader. It syncs and closes the
+// parked sealed segments oldest first, then syncs the active one (and
+// closes it too when closing). Success makes every record appended before
+// the pass began durable; lat receives each fsync's latency.
+func (w *walWriter) pass(lat *hdr.Histogram, closing bool) error {
+	w.mu.Lock()
+	sealed, app, top, err := w.sealed, w.app, w.nextRec, w.failed
+	w.sealed = nil
+	if closing {
+		w.app = nil
+	}
+	w.mu.Unlock()
+	if err == nil && app == nil && !closing {
+		// Closed (or broken by a failed rotation): nothing can vouch for
+		// the records this caller waits on.
+		err = errWriterClosed
+	}
+	var n uint64
+	for _, a := range sealed {
 		if err != nil {
-			return err
+			a.Close()
+			continue
 		}
-		// err == nil and syncedRec advanced past rec: done. (Loop guards
-		// against a rotation racing the snapshot; in practice one pass.)
-		if top >= rec {
-			return nil
+		err = timedSync(a, lat)
+		n++
+		if cerr := a.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			// Sticky: this segment's records never reached stable
+			// storage, so no later pass may report them durable.
+			err = fmt.Errorf("durable: sync sealed segment: %w", err)
+			w.mu.Lock()
+			w.failed = err
+			w.mu.Unlock()
 		}
 	}
+	if app != nil {
+		if err == nil {
+			err = timedSync(app, lat)
+			n++
+		}
+		if closing {
+			if cerr := app.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	w.unlead(top, n, err)
+	return err
+}
+
+// timedSync syncs a and records the fsync's latency in lat.
+func timedSync(a Appender, lat *hdr.Histogram) error {
+	start := time.Now()
+	err := a.Sync()
+	lat.Record(int64(time.Since(start)))
+	return err
+}
+
+// syncTo blocks until record rec is durable, running at most one sync
+// pass per waiting cohort (leader-based group commit).
+func (w *walWriter) syncTo(rec uint64, lat *hdr.Histogram) error {
+	if !w.lead(rec) {
+		return nil
+	}
+	return w.pass(lat, false)
 }
 
 // sync makes everything appended so far durable.
-func (w *walWriter) sync() error {
+func (w *walWriter) sync(lat *hdr.Histogram) error {
 	w.mu.Lock()
 	top := w.nextRec
 	w.mu.Unlock()
 	if top == 0 {
 		return nil
 	}
-	return w.syncTo(top)
+	return w.syncTo(top, lat)
 }
 
-// close syncs and closes the active segment.
-func (w *walWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.app == nil {
-		return nil
-	}
-	serr := w.app.Sync()
-	cerr := w.app.Close()
-	w.app = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+// close waits out any sync pass in flight, then syncs and closes every
+// segment still open. Records appended later are refused.
+func (w *walWriter) close(lat *hdr.Histogram) error {
+	w.lead(math.MaxUint64)
+	return w.pass(lat, true)
 }
 
 // counters returns a consistent snapshot of the writer's statistics.
